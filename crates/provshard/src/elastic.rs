@@ -25,8 +25,18 @@
 //!   claim race between any number of workers has exactly one winner;
 //!   the losers see `NotFound` and move on.
 //! * **Heartbeat** files carry pid + worker index; only their *mtime*
-//!   matters to the supervisor. A heartbeat older than `stale_after`
-//!   declares the claim dead.
+//!   matters to the supervisor. They are liveness, not artifacts: a
+//!   refresh is a plain overwrite with no temp file, rename or fsync
+//!   (after a crash the heartbeat is stale anyway), so a worker's
+//!   liveness never waits on fsync latency. A worker writes the first
+//!   beat at claim time; after that, one heartbeat thread per process
+//!   refreshes every open claim once per `heartbeat_interval` until its
+//!   result is published. Workers never wait out an interval (closing
+//!   a claim waits at most for an in-flight refresh of it), so a cell
+//!   costs its own time. The supervisor ages a claim from its freshest
+//!   signal but never from before it first saw the claim (`rename`
+//!   keeps the plan-time mtime; see [`ClaimWatch`]); a claim older than
+//!   `stale_after` is dead.
 //! * **Epoch** starts at 1 and is part of every file name. When the
 //!   supervisor re-dispatches a cell it writes a fresh task file at
 //!   epoch *e+1*; a zombie worker finishing the old claim publishes to
@@ -67,9 +77,9 @@
 //! worker claiming that cell crashes — drives retry exhaustion).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use provmark_core::pipeline::{
@@ -383,12 +393,14 @@ impl TaskStore {
             }
         }
         std::fs::remove_file(store.stop_file()).ok();
-        for task in tasks {
-            atomic_write(
-                &store.tasks().join(task.file_name()),
-                &task.to_json_string(),
-            )?;
-        }
+        // One durable batch: each task file is fsynced and renamed into
+        // place, and the directory is fsynced once for all of them.
+        provtrace::write_files_durable(
+            &store.tasks(),
+            tasks
+                .iter()
+                .map(|task| (task.file_name(), task.to_json_string().into_bytes())),
+        )?;
         Ok(store)
     }
 
@@ -416,9 +428,9 @@ impl TaskStore {
     /// into `claimed/`. Exactly one concurrent claimant wins; everyone
     /// else observes `Ok(None)`.
     ///
-    /// On success the claimed file's mtime is refreshed to claim time
-    /// (it otherwise keeps its plan-time stamp, which would look
-    /// instantly stale) and the first heartbeat is written.
+    /// On success the first heartbeat is written. The claimed file
+    /// keeps its plan-time mtime; the supervisor never ages a claim
+    /// from before it first observed it (see [`ClaimWatch`]).
     ///
     /// # Errors
     ///
@@ -436,11 +448,6 @@ impl TaskStore {
             Err(e) => return Err(e.into()),
         }
         let text = std::fs::read_to_string(&claimed)?;
-        // Re-write the claimed file with its own content: `rename`
-        // preserves the plan-time mtime, and the supervisor uses the
-        // claimed file's mtime as the heartbeat fallback.
-        // provlint: allow(raw-write) -- mtime-touch of a file this worker exclusively owns; a torn body is re-read from `text`, never from disk
-        std::fs::write(&claimed, &text)?;
         let task = CellTask::from_json_str(&text)?;
         self.write_heartbeat(&task, worker)?;
         Ok(Some(task))
@@ -471,6 +478,9 @@ impl TaskStore {
 
     /// Refresh the heartbeat for a claim. The supervisor only reads the
     /// file's mtime; the body (pid + worker index) is for operators.
+    /// The write is deliberately not durable (no temp file, rename or
+    /// fsync): it costs a page-cache overwrite, so liveness never waits
+    /// on the disk.
     ///
     /// # Errors
     ///
@@ -483,13 +493,25 @@ impl TaskStore {
         doc.insert("epoch".into(), crate::exact_num(task.epoch.into()));
         // provlint: allow(panic-in-lib) -- serialization only fails on non-finite floats; every number here passed exact_num
         let text = serde_json::to_string_pretty(&Value::Object(doc)).expect("heartbeat serializes");
-        atomic_write(&self.heartbeats().join(task.file_name()), &text)?;
+        // Overwritten in place, not truncated: ext4 flushes a file that
+        // was truncated and rewritten when it is closed, and that flush
+        // can queue behind other writers' fsyncs. Every refresh of one
+        // claim writes the same body, so nothing stale is left behind.
+        // provlint: allow(raw-write) -- liveness signal read only by mtime; a crash leaves it stale either way, so durability buys nothing and a torn body is harmless
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(self.heartbeats().join(task.file_name()))?;
+        file.write_all(text.as_bytes())?;
         Ok(())
     }
 
     /// Age of the freshest liveness signal for a claim: the heartbeat
-    /// file's mtime, falling back to the claimed file's mtime (bumped
-    /// at claim time). `None` when neither file exists.
+    /// file's mtime, falling back to the claimed file's mtime (which
+    /// `rename` leaves at plan or re-dispatch time, so it can read far
+    /// older than the claim; [`ClaimWatch`] caps it). `None` when
+    /// neither file exists.
     pub fn heartbeat_age(&self, id: &str, epoch: u32) -> Option<Duration> {
         let name = format!("{id}.e{epoch}.json");
         [self.heartbeats().join(&name), self.claimed().join(&name)]
@@ -599,6 +621,42 @@ impl TaskStore {
     /// `true` once the supervisor has requested shutdown.
     pub fn stop_requested(&self) -> bool {
         self.stop_file().exists()
+    }
+}
+
+/// The supervisor's clock for open claims: how long each has gone
+/// without a liveness signal.
+///
+/// A claim's files can read older than the claim itself: `rename` keeps
+/// the task file's plan-time mtime, and the first heartbeat lands only
+/// after the claimant has read its task. So a claim's age is the age of
+/// its freshest file, but never more than the time since this watch
+/// first observed that `(cell, epoch)` claim.
+#[derive(Debug, Default)]
+pub struct ClaimWatch {
+    first_seen: BTreeMap<String, (u32, Instant)>,
+}
+
+impl ClaimWatch {
+    /// Age of the open claim `(id, epoch)` as of `now`, recording `now`
+    /// as its first sighting on the first look at this epoch. `None`
+    /// when the claim has no file at all (see
+    /// [`TaskStore::heartbeat_age`]).
+    pub fn age(
+        &mut self,
+        store: &TaskStore,
+        id: &str,
+        epoch: u32,
+        now: Instant,
+    ) -> Option<Duration> {
+        let seen = self.first_seen.entry(id.to_owned()).or_insert((epoch, now));
+        if seen.0 != epoch {
+            *seen = (epoch, now);
+        }
+        let since_seen = now.saturating_duration_since(seen.1);
+        store
+            .heartbeat_age(id, epoch)
+            .map(|age| age.min(since_seen))
     }
 }
 
@@ -712,8 +770,11 @@ pub struct ElasticOptions {
     /// A claim whose heartbeat is older than this is declared dead and
     /// re-dispatched.
     pub stale_after: Duration,
-    /// How often workers refresh their heartbeat while solving (clamped
-    /// to at most `stale_after / 4`).
+    /// How often a claim's heartbeat is refreshed while it is open
+    /// (clamped to at most `stale_after / 4`). Refreshes come from a
+    /// process-wide heartbeat thread, so the interval bounds how stale
+    /// a live claim can look, never how long a cell takes; each refresh
+    /// is a non-durable overwrite that never waits on fsync.
     pub heartbeat_interval: Duration,
     /// Worker / supervisor poll interval.
     pub poll_interval: Duration,
@@ -776,9 +837,13 @@ impl ElasticOptions {
     /// A 300 ms staleness threshold plus a 50 ms retry backoff keeps
     /// recovery proportionate; the heartbeat interval is left at its
     /// default and clamped to `stale_after / 4` = 75 ms by the driver.
-    /// False stale declarations are benign (the claim protocol tolerates
-    /// double execution; first `finish` rename wins), so the shorter
-    /// threshold trades only redundant work, not correctness.
+    /// The threshold is safe for live workers because a heartbeat is
+    /// an fsync-free overwrite refreshed for the whole claim (publish
+    /// included) and a claim is aged from when the supervisor first saw
+    /// it, so neither disk latency nor the plan-time mtime of a fresh
+    /// claim can make it look stale. A false stale declaration would
+    /// still be benign (the report keeps only the latest epoch), costing
+    /// redundant work, not correctness.
     pub fn quick() -> Self {
         ElasticOptions {
             stale_after: Duration::from_millis(300),
@@ -795,7 +860,7 @@ pub struct WorkerContext {
     /// the initial pool size, so index-keyed injections fire at most
     /// once).
     pub index: usize,
-    /// Heartbeat refresh interval while solving.
+    /// Heartbeat refresh interval while a claim is open.
     pub heartbeat_interval: Duration,
     /// Sleep between idle polls of the task directory.
     pub poll_interval: Duration,
@@ -822,12 +887,181 @@ pub enum WorkerEnd {
     Crashed(&'static str),
 }
 
+/// One open claim whose heartbeat the process's heartbeat thread keeps
+/// fresh.
+struct Beating {
+    store: TaskStore,
+    task: CellTask,
+    worker: usize,
+    tracer: provtrace::Tracer,
+    claim_span: Option<provtrace::SpanId>,
+    /// Set when the claim closes. Each refresh holds this lock and
+    /// checks it first, so no beat of a claim lands after its
+    /// [`OpenBeat`] has been dropped.
+    closed: Mutex<bool>,
+}
+
+impl Beating {
+    fn beat(&self) {
+        let closed = self.closed.lock().unwrap_or_else(PoisonError::into_inner);
+        if *closed {
+            return;
+        }
+        self.store.write_heartbeat(&self.task, self.worker).ok();
+        self.tracer.event("heartbeat", self.claim_span, || {
+            vec![
+                ("cell", provtrace::Field::from(self.task.id())),
+                ("epoch", provtrace::Field::from(self.task.epoch)),
+            ]
+        });
+    }
+}
+
+/// An open claim and when its next refresh is due.
+struct Schedule {
+    beat: Arc<Beating>,
+    interval: Duration,
+    due: Instant,
+}
+
+/// The open claims of every worker in this process.
+struct Beats {
+    open: Vec<Schedule>,
+    started: bool,
+}
+
+/// One heartbeat thread per process refreshes every open claim, and it
+/// lives as long as the process. A worker never waits out an interval:
+/// it opens and closes a claim by editing this list, and closing waits
+/// at most for an in-flight refresh of that same claim (a page-cache
+/// write). A heartbeat thread per claim, or per worker, is started and
+/// stopped with every claim or every drive, and that churn moves later
+/// workers onto glibc malloc's idle per-thread arenas: peak RSS rose by
+/// about a fifth on the provbench `drive_quick` workload (5.6 MB to
+/// 6.4-7.3 MB).
+static BEATS: Mutex<Beats> = Mutex::new(Beats {
+    open: Vec::new(),
+    started: false,
+});
+static BEATS_CHANGED: Condvar = Condvar::new();
+
+/// Lock [`BEATS`]. Every update is a push, a removal or a `due` bump,
+/// so a lock poisoned by a panicking holder still guards valid state.
+fn lock_beats() -> MutexGuard<'static, Beats> {
+    BEATS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Body of the process's heartbeat thread: refresh each open claim's
+/// heartbeat whenever its interval has passed, and sleep until the next
+/// one is due or a claim opens. The refreshes are written after the
+/// list's lock is released, so workers opening or closing claims never
+/// queue behind another claim's file write.
+fn keep_beating() {
+    let mut due: Vec<Arc<Beating>> = Vec::new();
+    loop {
+        let mut beats = lock_beats();
+        // provlint: allow(direct-clock) -- liveness scheduling only; report bytes are time-free
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        for entry in &mut beats.open {
+            if entry.due <= now {
+                due.push(Arc::clone(&entry.beat));
+                entry.due = now + entry.interval;
+            }
+            next = Some(next.map_or(entry.due, |at| at.min(entry.due)));
+        }
+        if !due.is_empty() {
+            drop(beats);
+            for beat in due.drain(..) {
+                beat.beat();
+            }
+            continue;
+        }
+        // Nothing was due in this scan, and the scan and the wait share
+        // one hold of the lock, so a claim opened meanwhile is not
+        // missed. The next scan takes the lock afresh.
+        match next {
+            Some(at) => drop(
+                BEATS_CHANGED
+                    .wait_timeout(beats, at.saturating_duration_since(now))
+                    .unwrap_or_else(PoisonError::into_inner),
+            ),
+            None => drop(
+                BEATS_CHANGED
+                    .wait(beats)
+                    .unwrap_or_else(PoisonError::into_inner),
+            ),
+        }
+    }
+}
+
+/// Keeps one claim's heartbeat fresh until dropped, on every way out of
+/// the claim: publish, error or crash injection.
+struct OpenBeat(Arc<Beating>);
+
+impl OpenBeat {
+    /// Refresh `task`'s heartbeat every `ctx.heartbeat_interval` from
+    /// now on, starting the process's heartbeat thread on first use.
+    /// The claim's first beat is the one [`TaskStore::try_claim`] wrote.
+    fn open(
+        store: &TaskStore,
+        task: &CellTask,
+        ctx: &WorkerContext,
+        tracer: &provtrace::Tracer,
+        claim_span: Option<provtrace::SpanId>,
+    ) -> Result<OpenBeat, PipelineError> {
+        let beat = Arc::new(Beating {
+            store: store.clone(),
+            task: task.clone(),
+            worker: ctx.index,
+            tracer: tracer.clone(),
+            claim_span,
+            closed: Mutex::new(false),
+        });
+        let mut beats = lock_beats();
+        if !beats.started {
+            // Detached on purpose: the thread serves every later claim
+            // of this process and ends with it.
+            std::thread::Builder::new()
+                .name("provshard-heartbeat".into())
+                .spawn(keep_beating)?;
+            beats.started = true;
+        }
+        beats.open.push(Schedule {
+            beat: Arc::clone(&beat),
+            interval: ctx.heartbeat_interval,
+            // provlint: allow(direct-clock) -- liveness scheduling only; report bytes are time-free
+            due: Instant::now() + ctx.heartbeat_interval,
+        });
+        BEATS_CHANGED.notify_one();
+        Ok(OpenBeat(beat))
+    }
+}
+
+impl Drop for OpenBeat {
+    fn drop(&mut self) {
+        *self.0.closed.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        let closed = {
+            let mut beats = lock_beats();
+            let at = beats
+                .open
+                .iter()
+                .position(|entry| Arc::ptr_eq(&entry.beat, &self.0));
+            at.map(|at| beats.open.swap_remove(at))
+        };
+        // Freed here, on the worker's thread, after the lock is released.
+        drop(closed);
+    }
+}
+
 /// The claim-solve-publish loop run by every worker.
 ///
-/// Claims tasks until the stop sentinel appears, refreshing a heartbeat
-/// in a background thread while each cell solves, and publishing every
-/// result atomically. Fault injections deterministically divert the
-/// loop (see [`InjectSpec`]).
+/// Claims tasks until the stop sentinel appears and publishes every
+/// result atomically. While a claim is open, the process's heartbeat
+/// thread refreshes its heartbeat; closing the claim waits at most for
+/// an in-flight refresh of it, so a cell never waits out a heartbeat
+/// interval. Fault
+/// injections deterministically divert the loop (see [`InjectSpec`]).
 ///
 /// # Errors
 ///
@@ -888,6 +1122,15 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
         });
         let injected_first = first_claim;
         first_claim = false;
+        let stalling = injected_first && ctx.inject.stall_worker == Some(ctx.index);
+        // Open from the claim until the result is on disk, so neither a
+        // first-claim cache load nor the publish's own fsyncs count
+        // against the claim's liveness.
+        let beating = if stalling {
+            None
+        } else {
+            Some(OpenBeat::open(store, &task, ctx, &tracer, claim_span)?)
+        };
         if injected_first && ctx.inject.kill_worker == Some(ctx.index) {
             // Die with a fresh claim + heartbeat on the books: the
             // supervisor must notice the heartbeat going stale.
@@ -898,7 +1141,6 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
                 return crash("injected kill-cell", claim_span);
             }
         }
-        let stalling = injected_first && ctx.inject.stall_worker == Some(ctx.index);
         if stalling {
             // No heartbeat refresh, oversleep past staleness, then fall
             // through and publish under the (by now superseded) epoch.
@@ -923,34 +1165,15 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
             None
         };
         let counters_before = MemoCounters::of(&memo);
-        let heartbeat_done = AtomicBool::new(false);
-        let cell = std::thread::scope(|scope| {
-            if !stalling {
-                scope.spawn(|| {
-                    while !heartbeat_done.load(Ordering::Relaxed) {
-                        store.write_heartbeat(&task, ctx.index).ok();
-                        tracer.event("heartbeat", claim_span, || {
-                            vec![
-                                ("cell", provtrace::Field::from(task.id())),
-                                ("epoch", provtrace::Field::from(task.epoch)),
-                            ]
-                        });
-                        std::thread::sleep(ctx.heartbeat_interval);
-                    }
-                });
-            }
-            let cell = run_matrix_cell_traced(
-                &task.syscall,
-                task.tool,
-                &task.config.opts,
-                task.config.opus_db_iterations,
-                memo_ref,
-                &tracer,
-                claim_span,
-            );
-            heartbeat_done.store(true, Ordering::Relaxed);
-            cell
-        })?;
+        let cell = run_matrix_cell_traced(
+            &task.syscall,
+            task.tool,
+            &task.config.opts,
+            task.config.opus_db_iterations,
+            memo_ref,
+            &tracer,
+            claim_span,
+        )?;
         let result = CellResult {
             syscall: task.syscall.clone(),
             tool: task.tool,
@@ -964,6 +1187,7 @@ pub fn worker_loop(store: &TaskStore, ctx: &WorkerContext) -> Result<WorkerEnd, 
             return crash("injected torn-partial", claim_span);
         }
         store.publish(&result)?;
+        drop(beating);
         tracer.event("publish", claim_span, || {
             vec![
                 ("cell", provtrace::Field::from(task.id())),
@@ -1399,6 +1623,7 @@ fn supervise(
     // already-accepted (or already-rejected) publish would be re-counted
     // on every later iteration.
     let mut harvested: BTreeSet<(String, u32)> = BTreeSet::new();
+    let mut claims = ClaimWatch::default();
     for index in 0..worker_count {
         pool.spawn(index)?;
         workers_spawned += 1;
@@ -1517,6 +1742,8 @@ fn supervise(
         // Staleness: an open, claimed, unpublished cell whose heartbeat
         // is too old has lost its worker.
         let mut stale: Vec<(String, String)> = Vec::new();
+        // provlint: allow(direct-clock) -- liveness/backoff scheduling only; report bytes are time-free
+        let seen_at = Instant::now();
         for (id, slot) in &slots {
             if !matches!(slot.state, SlotState::Open)
                 || pending.contains_key(id)
@@ -1525,7 +1752,7 @@ fn supervise(
             {
                 continue;
             }
-            match store.heartbeat_age(id, slot.task.epoch) {
+            match claims.age(store, id, slot.task.epoch, seen_at) {
                 Some(age) if age > opts.stale_after => stale.push((
                     id.clone(),
                     format!(
@@ -1844,4 +2071,67 @@ fn merge_after_drive(
         outcome.cache_merge = Some(merge);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::SystemTime;
+
+    #[test]
+    fn open_claims_are_refreshed_until_closed() {
+        let dir = std::env::temp_dir().join(format!("provmark-beat-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let task = CellTask {
+            syscall: "creat".into(),
+            tool: 0,
+            epoch: 1,
+            config: RunConfig::quick(),
+        };
+        let store = TaskStore::init(&dir, std::slice::from_ref(&task)).unwrap();
+        store.try_claim(&task.file_name(), 0).unwrap().unwrap();
+        let ctx = WorkerContext {
+            index: 0,
+            heartbeat_interval: Duration::from_millis(10),
+            poll_interval: Duration::from_millis(10),
+            stall: Duration::ZERO,
+            inject: InjectSpec::default(),
+            solve_cache: None,
+            trace: None,
+        };
+        // Both liveness files an hour old: only a refresh makes the
+        // claim look young again.
+        let backdate = || {
+            for sub in ["heartbeats", "claimed"] {
+                std::fs::File::options()
+                    .write(true)
+                    .open(dir.join(sub).join(task.file_name()))
+                    .unwrap()
+                    .set_modified(SystemTime::now() - Duration::from_secs(3600))
+                    .unwrap();
+            }
+        };
+        let age = || store.heartbeat_age(&task.id(), 1).unwrap();
+        backdate();
+        let beat =
+            OpenBeat::open(&store, &task, &ctx, &provtrace::Tracer::disabled(), None).unwrap();
+        let start = Instant::now();
+        while age() > Duration::from_secs(60) && start.elapsed() < Duration::from_secs(30) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(
+            age() < Duration::from_secs(60),
+            "an open claim is refreshed"
+        );
+        // Closing waits out an in-flight refresh of this claim, so no
+        // refresh of it can land after `drop` returns.
+        drop(beat);
+        backdate();
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            age() > Duration::from_secs(60),
+            "a closed claim is no longer refreshed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -578,8 +578,10 @@ pub fn single_report(config: &RunConfig) -> String {
 /// which every artifact scan skips — and once this returns `Ok` the
 /// artifact is on stable storage, not just in the page cache (a power
 /// loss after a claim or result was published cannot un-publish it).
-/// Used for **all** provshard artifact writes (manifests, partials,
-/// cell tasks/results, heartbeats, reports). Delegates to
+/// Used for provshard's artifact writes (manifests, partials,
+/// re-dispatched cell tasks, cell results, reports); the plan's task
+/// files land as one durable batch, and heartbeats, which are liveness
+/// signals rather than artifacts, are plain overwrites. Delegates to
 /// [`aspsolver::write_bytes_durable`], the same primitive the solve
 /// cache uses.
 ///

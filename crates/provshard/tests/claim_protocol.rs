@@ -1,15 +1,17 @@
 //! Unit-level tests of the elastic claim protocol: claim races have
 //! exactly one winner, artifact writes are atomic, torn results are
-//! rejected as typed errors at every truncation length, and the
-//! fault-injection spec parses round-trip.
+//! rejected as typed errors at every truncation length, claims are
+//! aged from the supervisor's first sighting, and the fault-injection
+//! spec parses round-trip.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant, SystemTime};
 
 use provmark_core::pipeline::CellOutcome;
 use provmark_core::PipelineError;
 use provshard::elastic::{
-    plan_cells, CellResult, CellTask, InjectSpec, MemoCounters, TaskStore, CELL_RESULT_VERSION,
-    CELL_TASK_VERSION,
+    plan_cells, CellResult, CellTask, ClaimWatch, InjectSpec, MemoCounters, TaskStore,
+    CELL_RESULT_VERSION, CELL_TASK_VERSION,
 };
 use provshard::{atomic_write, RunConfig};
 
@@ -104,6 +106,97 @@ fn claim_race_has_exactly_one_winner() {
     // The winner's claim left a fresh liveness signal.
     let age = store.heartbeat_age(&task.id(), 1).expect("claim is live");
     assert!(age.as_secs() < 5, "claim-time heartbeat is fresh: {age:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Backdate a file's mtime by an hour.
+fn backdate(path: &std::path::Path) {
+    std::fs::File::options()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_modified(SystemTime::now() - Duration::from_secs(3600))
+        .unwrap();
+}
+
+#[test]
+fn old_claim_without_heartbeat_is_aged_from_first_sighting() {
+    // `rename` keeps the task file's plan-time mtime, so until its first
+    // heartbeat lands a fresh claim reads as old as the plan. The
+    // supervisor must age it from when it first saw the claim.
+    let dir = temp_dir("first-seen");
+    let mut task = CellTask {
+        syscall: "creat".into(),
+        tool: 0,
+        epoch: 1,
+        config: RunConfig::quick(),
+    };
+    let store = TaskStore::init(&dir, std::slice::from_ref(&task)).unwrap();
+    let claim_with_old_mtime = |task: &CellTask| {
+        store.try_claim(&task.file_name(), 0).unwrap().unwrap();
+        std::fs::remove_file(dir.join("heartbeats").join(task.file_name())).unwrap();
+        backdate(&dir.join("claimed").join(task.file_name()));
+    };
+    claim_with_old_mtime(&task);
+    let file_age = store.heartbeat_age(&task.id(), 1).expect("claimed file");
+    assert!(file_age >= Duration::from_secs(3600), "{file_age:?}");
+
+    let stale_after = Duration::from_millis(300);
+    let mut watch = ClaimWatch::default();
+    let first = Instant::now();
+    assert_eq!(
+        watch.age(&store, &task.id(), 1, first),
+        Some(Duration::ZERO),
+        "a claim is never older than its first sighting"
+    );
+    let before = first + stale_after;
+    let age = watch.age(&store, &task.id(), 1, before).unwrap();
+    assert!(
+        age <= stale_after,
+        "not stale before stale_after has passed since first seen: {age:?}"
+    );
+    let after = before + Duration::from_millis(1);
+    assert!(watch.age(&store, &task.id(), 1, after).unwrap() > stale_after);
+
+    // A fresh heartbeat is younger than the first sighting.
+    store.write_heartbeat(&task, 0).unwrap();
+    let late = first + Duration::from_secs(3600);
+    assert!(watch.age(&store, &task.id(), 1, late).unwrap() < Duration::from_secs(60));
+
+    // A re-dispatch is a new claim, aged from its own first sighting.
+    task.epoch = 2;
+    store.requeue(&task).unwrap();
+    claim_with_old_mtime(&task);
+    assert_eq!(watch.age(&store, &task.id(), 2, late), Some(Duration::ZERO));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn heartbeat_refresh_is_an_in_place_overwrite() {
+    let dir = temp_dir("heartbeat");
+    let task = CellTask {
+        syscall: "open".into(),
+        tool: 1,
+        epoch: 1,
+        config: RunConfig::quick(),
+    };
+    let store = TaskStore::init(&dir, std::slice::from_ref(&task)).unwrap();
+    store.try_claim(&task.file_name(), 3).unwrap().unwrap();
+    let path = dir.join("heartbeats").join(task.file_name());
+    backdate(&path);
+    store.write_heartbeat(&task, 3).unwrap();
+    let age = store.heartbeat_age(&task.id(), 1).unwrap();
+    assert!(
+        age < Duration::from_secs(60),
+        "refresh bumps the mtime: {age:?}"
+    );
+    let names: Vec<String> = std::fs::read_dir(dir.join("heartbeats"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, [task.file_name()], "no temp files beside the beat");
+    let body = std::fs::read_to_string(&path).unwrap();
+    assert!(body.contains("provmark-heartbeat") && body.contains("\"worker\": 3"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

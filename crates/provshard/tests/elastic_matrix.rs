@@ -7,9 +7,11 @@
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use provshard::elastic::{drive_elastic, ElasticOptions, InjectSpec};
+use provshard::elastic::{
+    drive_elastic, drive_elastic_in_process, plan_cells, ElasticOptions, InjectSpec,
+};
 use provshard::{single_report, RunConfig};
 
 const WORKER: &str = env!("CARGO_BIN_EXE_provmark-shard");
@@ -62,6 +64,32 @@ fn quick_preset_scales_recovery_timings_down() {
     assert_eq!(quick.max_respawns, prod.max_respawns);
     assert_eq!(quick.poll_interval, prod.poll_interval);
     assert!(quick.inject.is_empty());
+}
+
+/// A cell costs its own time, not a heartbeat interval: workers never
+/// wait for the heartbeat thread. With a 1 s interval, a 1-worker drive
+/// that waited out one interval per cell would need at least one second
+/// per cell (132 s for the quick matrix).
+#[test]
+fn cells_do_not_wait_out_the_heartbeat_interval() {
+    let dir = temp_dir("heartbeat-wait");
+    let opts = ElasticOptions {
+        heartbeat_interval: Duration::from_secs(1),
+        stale_after: Duration::from_secs(60),
+        ..ElasticOptions::quick()
+    };
+    let cells = plan_cells(&RunConfig::quick()).len();
+    let start = Instant::now();
+    let outcome = drive_elastic_in_process(1, &RunConfig::quick(), &dir, &opts).unwrap();
+    let wall = start.elapsed();
+    assert_eq!(outcome.report, reference());
+    assert_eq!(outcome.requeues, 0);
+    assert!(
+        wall < Duration::from_secs(30),
+        "{cells} cells took {wall:?} at a 1 s heartbeat interval; \
+         a cell must not wait out the interval"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

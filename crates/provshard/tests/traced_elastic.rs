@@ -187,20 +187,13 @@ fn superseded_publish_is_counted_and_traced() {
 #[test]
 fn clean_drive_counts_no_stale_publishes() {
     let dir = temp_dir("clean");
-    // This test wants a drive with no supersession at all, so the
-    // staleness budget must exceed the whole drive's wall-clock: on a
-    // saturated host the *initial* heartbeat (two fsyncs inside the
-    // claim) can land many seconds after the claimed-file rewrite, so
-    // any threshold comparable to the run length can falsely fire.
-    // That false fire is benign in production (the superseded publish
-    // is counted and rejected, the report stays byte-identical — the
-    // other tests in this file assert exactly that), but here it would
-    // make the zero-count assertions flaky.
+    // Quick-preset timings (300 ms staleness): heartbeats never wait on
+    // fsync and claims are aged from their first sighting, so a clean
+    // drive must not supersede anything even at a sub-second threshold.
     let trace_dir = dir.join("trace");
     let opts = ElasticOptions {
-        stale_after: Duration::from_secs(120),
         trace: Some(trace_dir.clone()),
-        ..ElasticOptions::default()
+        ..ElasticOptions::quick()
     };
     let outcome =
         drive_elastic_in_process(3, &RunConfig::quick(), &dir.join("work"), &opts).unwrap();
